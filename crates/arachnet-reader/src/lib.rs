@@ -10,11 +10,14 @@
 //! * [`rx`] — the uplink receiver: down-conversion, low-pass/decimation,
 //!   adaptive slicing, edge-domain FM0 decoding (immune to tag clock
 //!   drift), CRC check, IQ-domain collision detection (Sec. 5.3) and the
-//!   PSD-based SNR metric of Fig. 12(a);
-//! * [`pipeline`] — the same receiver assembled as the paper's
-//!   back-pressure block pipeline, for the streaming/real-time form;
+//!   PSD-based SNR metric of Fig. 12(a). [`UplinkReceiver`] is the one
+//!   receiver: it decodes one slot at a time as a batch. The paper's
+//!   streaming back-pressure form is not modelled — no figure depends on
+//!   it;
 //! * [`driver`] — the slot loop that binds the reader MAC
 //!   (`arachnet-core`) to TX and RX timing;
+//! * [`fdma`] — parallel decoding of tags on distinct subcarriers in one
+//!   slot;
 //! * [`fleet`] — frequency-space division for reader fleets: the
 //!   validated per-reader FDMA sub-band [`fleet::FleetPlan`] plus the
 //!   inter-reader interference-rejecting [`fleet::FleetReceiver`].
@@ -25,7 +28,6 @@
 pub mod driver;
 pub mod fdma;
 pub mod fleet;
-pub mod pipeline;
 pub mod rx;
 pub mod tx;
 

@@ -14,7 +14,7 @@
 //!   exactly that index.
 //! * **Rate entries** (`decode-delay%250:30ms`) fire at every index whose
 //!   splitmix64 hash (seeded like the sweep engine's
-//!   [`trial_seed`](arachnet_sim::sweep::trial_seed), salted per fault
+//!   [`trial_seed`], salted per fault
 //!   kind) falls below `permille/1000` — a deterministic Bernoulli draw
 //!   per index, replayable bit-identically.
 //!

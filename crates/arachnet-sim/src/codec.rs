@@ -13,10 +13,8 @@
 //! Implementations cover the primitive/composite types the experiment
 //! layer sweeps over, plus the observability payloads that travel with a
 //! trial ([`Event`], [`RecorderSnapshot`]) and the sim-level result structs
-//! ([`ReconvergenceSample`](crate::scenario::ReconvergenceSample),
-//! [`UplinkResult`](crate::wavesim::UplinkResult),
-//! [`FleetUplinkResult`](crate::fleet::FleetUplinkResult),
-//! [`CellOutcome`](crate::fleet::CellOutcome)).
+//! ([`ReconvergenceSample`], [`UplinkResult`], [`FleetUplinkResult`],
+//! [`CellOutcome`]).
 
 use arachnet_obs::{
     DecodeFailReason, Event, EventKind, MigrateReason, RecorderSnapshot, KIND_COUNT,

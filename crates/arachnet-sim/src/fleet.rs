@@ -22,11 +22,10 @@
 
 use std::cell::RefCell;
 
-use arachnet_core::fm0::Fm0Encoder;
 use arachnet_core::packet::UlPacket;
-use arachnet_core::rng::TagRng;
-use arachnet_obs::{DecodeFailReason, Event, EventKind, Recorder, RecorderSnapshot};
+use arachnet_obs::{Event, EventKind, Recorder, RecorderSnapshot};
 use arachnet_reader::fleet::{FleetPlan, FleetReceiver, FleetRxScratch};
+use arachnet_reader::rx::SlotRx;
 use arachnet_tag::mcu::McuClock;
 use biw_channel::channel::ChannelConfig;
 use biw_channel::fleet::{FleetChannel, FleetChannelConfig};
@@ -40,6 +39,7 @@ use crate::slotsim::run_scenario_trial;
 use crate::sweep::{
     run_matrix_sweep, trial_seed, SweepConfig, SweepStats, TrialError, TrialResult,
 };
+use crate::wavesim::{run_uplink, synth_packet_states, UplinkLink};
 
 /// Reusable fleet PHY working set: one PZT state stream per reader cell,
 /// the superposed reader-side waveform, and the fleet receiver's scratch.
@@ -153,97 +153,6 @@ impl FleetWaveSim {
         )
     }
 
-    /// Expands raw FM0 bits into a padded per-sample PZT state stream —
-    /// the same expansion the single-reader `WaveSim` performs.
-    fn expand_states_into(raw: &arachnet_core::bits::BitBuf, spb: usize, pad: usize, out: &mut Vec<PztState>) {
-        out.clear();
-        out.reserve(raw.len() * spb + 2 * pad);
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-        for bit in raw.iter() {
-            let s = if bit {
-                PztState::Reflective
-            } else {
-                PztState::Absorptive
-            };
-            out.extend(std::iter::repeat_n(s, spb));
-        }
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-    }
-
-    /// Synthesizes cell `c`'s seeded packet into `out` and returns the
-    /// packet that cell's tag sent (or the packet-field violation for an
-    /// out-of-range `tid`). The recipe (payload draw, supply sag, clock
-    /// stretch) matches the single-reader simulator exactly; each cell's
-    /// clock is salted by its reader index (cell 0 unsalted).
-    fn synth_cell_states(
-        &self,
-        c: usize,
-        tid: u8,
-        ul_bps: f64,
-        packet_seed: u64,
-        out: &mut Vec<PztState>,
-    ) -> Result<UlPacket, arachnet_core::packet::PacketError> {
-        let fs = self.channel.cell(c).config().sample_rate;
-        let mut rng = TagRng::new(packet_seed);
-        let payload = (rng.next_u64() & 0xFFF) as u16;
-        let pkt = UlPacket::new(tid, payload)?;
-        let mut enc = Fm0Encoder::new();
-        let raw = enc.encode(pkt.to_bits().iter());
-        let mut clock = McuClock::for_tag(self.seed ^ ((c as u64) << 40), tid);
-        clock.set_supply(1.95 + 0.35 * rng.unit_f64());
-        let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
-        Self::expand_states_into(&raw, spb, 6 * spb, out);
-        Ok(pkt)
-    }
-
-    /// Sends packet `i` of every cell's sequence and decodes at `reader`.
-    /// Returns `(own packet, decode)`, or a [`TrialError`] (trial = packet
-    /// index) when `reader` is not in the fleet or `tid` overflows the
-    /// packet's 4-bit TID field. Pure in `(reader, tid, i)`.
-    fn uplink_packet_at(
-        &self,
-        rx: &FleetReceiver,
-        reader: usize,
-        tid: u8,
-        i: u64,
-        s: &mut FleetPhyScratch,
-    ) -> Result<(UlPacket, arachnet_reader::rx::SlotRx), TrialError> {
-        let k = self.channel.readers();
-        let ul_bps = rx.inner().config().ul_bps;
-        s.states.resize_with(k, Vec::new);
-        let mut own_pkt = None;
-        for c in 0..k {
-            let seed_c = trial_seed(self.uplink_base_seed(c, tid, ul_bps), i);
-            let mut states = std::mem::take(&mut s.states[c]);
-            let pkt = self
-                .synth_cell_states(c, tid, ul_bps, seed_c, &mut states)
-                .map_err(|e| TrialError {
-                    trial: i,
-                    payload: format!("cell {c} packet synthesis: {e}"),
-                    attempts: 1,
-                })?;
-            s.states[c] = states;
-            if c == reader {
-                own_pkt = Some(pkt);
-            }
-        }
-        let own_pkt = own_pkt.ok_or_else(|| TrialError {
-            trial: i,
-            payload: format!("observed reader {reader} is not in the {k}-reader fleet"),
-            attempts: 1,
-        })?;
-        let tags: Vec<[(u8, &[PztState]); 1]> =
-            s.states.iter().map(|st| [(tid, st.as_slice())]).collect();
-        let cell_tags: Vec<&[(u8, &[PztState])]> =
-            tags.iter().map(|t| t.as_slice()).collect();
-        let len = s.states[reader].len();
-        let seed_own = trial_seed(self.uplink_base_seed(reader, tid, ul_bps), i);
-        self.channel
-            .rx_waveform_into(reader, &cell_tags, len, seed_own, &mut s.wave);
-        let out = rx.process_slot_with(&s.wave, &mut s.rx);
-        Ok((own_pkt, out))
-    }
-
     /// Multi-reader Fig. 12 analogue: sends `n` packets from `reader`'s
     /// own tag `tid` while every other cell's copy of the tag transmits
     /// concurrently on its own carrier; counts losses at `reader` and
@@ -272,45 +181,91 @@ impl FleetWaveSim {
         n: u64,
         recorder: &mut Recorder,
     ) -> Result<FleetUplinkResult, TrialError> {
-        let k = self.channel.readers();
-        with_fleet_scratch(|s| {
-            let mut snr_db = f64::NAN;
-            let mut lost = 0;
-            let mut cross = 0;
-            for i in 0..n.max(1) {
-                let (pkt, out) = self.uplink_packet_at(rx, reader, tid, i, s)?;
-                if i == 0 {
-                    snr_db = rx.uplink_snr_db_with(&s.wave, &mut s.rx);
-                }
-                if i >= n {
-                    continue;
-                }
-                let ok = out.packet == Some(pkt);
-                if ok {
-                    recorder.note(EventKind::Decoded);
-                } else {
-                    lost += 1;
-                    let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
-                    recorder.record(i, tid, EventKind::DecodeFail { reason });
-                }
-                if k > 1 && (!ok || out.collision) {
-                    cross += 1;
-                    recorder.record(
-                        i,
-                        tid,
-                        EventKind::CrossReaderCollision {
-                            readers: (k - 1).min(u8::MAX as usize) as u8,
-                        },
-                    );
-                }
-            }
-            Ok(FleetUplinkResult {
-                sent: n,
-                lost,
-                cross_collisions: cross,
-                snr_db,
-            })
+        let link = FleetLink {
+            sim: self,
+            rx,
+            reader,
+            tid,
+        };
+        let t = with_fleet_scratch(|s| run_uplink(&link, 0, n, recorder, s))?;
+        Ok(FleetUplinkResult {
+            sent: n,
+            lost: t.lost,
+            cross_collisions: t.cross_collisions,
+            snr_db: t.snr_db,
         })
+    }
+}
+
+/// One reader's link inside a fleet: every cell's copy of `tid`
+/// superposed at `reader`, decoded by `rx` after interference rejection.
+struct FleetLink<'a> {
+    sim: &'a FleetWaveSim,
+    rx: &'a FleetReceiver,
+    reader: usize,
+    tid: u8,
+}
+
+impl UplinkLink for FleetLink<'_> {
+    type Scratch = FleetPhyScratch;
+    type Error = TrialError;
+
+    fn tid(&self) -> u8 {
+        self.tid
+    }
+
+    fn foreign_readers(&self) -> usize {
+        self.sim.channel.readers().saturating_sub(1)
+    }
+
+    /// Synthesizes packet `i` of every cell's sequence and superposes
+    /// them at the observed reader's DAQ. Fails (trial = packet index)
+    /// when the reader is not in the fleet or `tid` overflows the
+    /// packet's 4-bit TID field. Each cell follows the single-reader
+    /// packet recipe with its tag clock salted by its reader index (cell 0
+    /// unsalted).
+    fn synth(&self, i: u64, s: &mut FleetPhyScratch) -> Result<UlPacket, TrialError> {
+        let (sim, reader, tid) = (self.sim, self.reader, self.tid);
+        let ul_bps = self.rx.inner().config().ul_bps;
+        let k = sim.channel.readers();
+        s.states.resize_with(k, Vec::new);
+        let mut own_pkt = None;
+        for c in 0..k {
+            let seed_c = trial_seed(sim.uplink_base_seed(c, tid, ul_bps), i);
+            let fs = sim.channel.cell(c).config().sample_rate;
+            let clock = McuClock::for_tag(sim.seed ^ ((c as u64) << 40), tid);
+            let pkt = synth_packet_states(clock, tid, fs, ul_bps, seed_c, &mut s.states[c])
+                .map_err(|e| TrialError {
+                    trial: i,
+                    payload: format!("cell {c} packet synthesis: {e}"),
+                    attempts: 1,
+                })?;
+            if c == reader {
+                own_pkt = Some(pkt);
+            }
+        }
+        let own_pkt = own_pkt.ok_or_else(|| TrialError {
+            trial: i,
+            payload: format!("observed reader {reader} is not in the {k}-reader fleet"),
+            attempts: 1,
+        })?;
+        let tags: Vec<[(u8, &[PztState]); 1]> =
+            s.states.iter().map(|st| [(tid, st.as_slice())]).collect();
+        let cell_tags: Vec<&[(u8, &[PztState])]> =
+            tags.iter().map(|t| t.as_slice()).collect();
+        let len = s.states[reader].len();
+        let seed_own = trial_seed(sim.uplink_base_seed(reader, tid, ul_bps), i);
+        sim.channel
+            .rx_waveform_into(reader, &cell_tags, len, seed_own, &mut s.wave);
+        Ok(own_pkt)
+    }
+
+    fn decode(&self, s: &mut FleetPhyScratch) -> SlotRx {
+        self.rx.process_slot_with(&s.wave, &mut s.rx)
+    }
+
+    fn snr_db(&self, s: &mut FleetPhyScratch) -> f64 {
+        self.rx.uplink_snr_db_with(&s.wave, &mut s.rx)
     }
 }
 
@@ -451,16 +406,29 @@ mod tests {
     #[test]
     fn one_reader_fleet_matches_the_single_reader_wavesim() {
         // The whole point of the K=1 degenerate case: same seeds, same
-        // channel, same receiver → bit-identical losses and SNR.
+        // channel, same receiver → bit-identical losses, SNR and recorded
+        // fail events (slot, tag, reason).
         let plan = FleetPlan::fdma(1, FS).unwrap();
         let fleet = FleetWaveSim::paper(plan, 42);
-        let rx = fleet.fleet_rx(0, 375.0);
-        let a = fleet.uplink_trial(&rx, 0, 8, 6).unwrap();
-        let b = WaveSim::paper(42).uplink_trial(8, 375.0, 6);
+        let rx = fleet.fleet_rx(0, 1_500.0);
+        let mut fleet_rec = Recorder::enabled(42);
+        let a = fleet
+            .uplink_trial_observed(&rx, 0, 11, 20, &mut fleet_rec)
+            .unwrap();
+        let mut single_rec = Recorder::enabled(42);
+        let b = WaveSim::paper(42).uplink_trial_observed(11, 1_500.0, 20, &mut single_rec);
         assert_eq!(a.sent, b.sent);
         assert_eq!(a.lost, b.lost);
         assert_eq!(a.snr_db, b.snr_db);
         assert_eq!(a.cross_collisions, 0);
+        let events = fleet_rec.events();
+        assert!(!events.is_empty(), "no loss: the event comparison proves nothing");
+        assert_eq!(events, single_rec.events());
+        let decoded = EventKind::Decoded.index();
+        assert_eq!(
+            fleet_rec.into_snapshot().count_at(decoded),
+            single_rec.into_snapshot().count_at(decoded)
+        );
     }
 
     #[test]

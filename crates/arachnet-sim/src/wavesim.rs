@@ -14,14 +14,15 @@
 //!   and the raw reader waveform for the Fig. 14(a) illustration.
 
 use std::cell::RefCell;
+use std::convert::Infallible;
 
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::Fm0Encoder;
-use arachnet_core::packet::{DlBeacon, DlCmd, UlPacket};
+use arachnet_core::packet::{DlBeacon, DlCmd, PacketError, UlPacket};
 use arachnet_core::rng::TagRng;
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, NO_TAG};
 use arachnet_reader::driver::{LatencyModel, PingPong};
-use arachnet_reader::rx::{RxConfig, RxScratch, UplinkReceiver};
+use arachnet_reader::rx::{RxConfig, RxScratch, SlotRx, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_tag::demod::PieDemodulator;
 use arachnet_tag::mcu::McuClock;
@@ -145,39 +146,13 @@ impl WaveSim {
         trial_seed(self.seed ^ (u64::from(tid) << 32), ul_bps.to_bits())
     }
 
-    /// Expands raw FM0 bits into a padded per-sample PZT state stream.
-    fn expand_states_into(raw: &BitBuf, spb: usize, pad: usize, out: &mut Vec<PztState>) {
-        out.clear();
-        out.reserve(raw.len() * spb + 2 * pad);
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-        for bit in raw.iter() {
-            let s = if bit {
-                PztState::Reflective
-            } else {
-                PztState::Absorptive
-            };
-            out.extend(std::iter::repeat_n(s, spb));
-        }
-        out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
-    }
-
-    /// Synthesizes one seeded uplink packet into `s.wave` and returns the
-    /// packet that was sent. Everything — payload, supply sag, noise — is
-    /// a pure function of `packet_seed`.
+    /// Synthesizes one seeded uplink packet into `s.wave` through
+    /// `channel` and returns the packet that was sent. Everything —
+    /// payload, supply sag, noise — is a pure function of `packet_seed`.
+    /// `channel` is the simulator's own or, on the drift path, the
+    /// current epoch's prebuilt one; the hot loop is the same and
+    /// allocation-free either way.
     fn synth_uplink_packet(
-        &self,
-        rx: &UplinkReceiver,
-        tid: u8,
-        packet_seed: u64,
-        s: &mut PhyScratch,
-    ) -> UlPacket {
-        self.synth_uplink_packet_via(&self.channel, rx, tid, packet_seed, s)
-    }
-
-    /// [`Self::synth_uplink_packet`] through an explicit channel — the
-    /// drift path hands in the current epoch's prebuilt channel; the hot
-    /// loop itself is unchanged and allocation-free.
-    fn synth_uplink_packet_via(
         &self,
         channel: &BiwChannel,
         rx: &UplinkReceiver,
@@ -187,17 +162,9 @@ impl WaveSim {
     ) -> UlPacket {
         let fs = channel.config().sample_rate;
         let ul_bps = rx.config().ul_bps;
-        let mut rng = TagRng::new(packet_seed);
-        let payload = (rng.next_u64() & 0xFFF) as u16;
-        let pkt = UlPacket::new(tid % 16, payload).expect("12-bit payload");
-        let mut enc = Fm0Encoder::new();
-        let raw = enc.encode(pkt.to_bits().iter());
-        // The tag's timer stretches/compresses raw bits; the supply sags
-        // across the cutoff band packet to packet.
-        let mut clock = McuClock::for_tag(self.seed, tid);
-        clock.set_supply(1.95 + 0.35 * rng.unit_f64());
-        let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
-        Self::expand_states_into(&raw, spb, 6 * spb, &mut s.states);
+        let clock = McuClock::for_tag(self.seed, tid);
+        let pkt = synth_packet_states(clock, tid % 16, fs, ul_bps, packet_seed, &mut s.states)
+            .expect("12-bit payload and tag id below 16");
         let len = s.states.len();
         channel.uplink_waveform_seeded_into(&[(tid, &s.states)], len, packet_seed, &mut s.wave);
         pkt
@@ -213,7 +180,7 @@ impl WaveSim {
         packet_seed: u64,
         s: &mut PhyScratch,
     ) -> bool {
-        let pkt = self.synth_uplink_packet(rx, tid, packet_seed, s);
+        let pkt = self.synth_uplink_packet(&self.channel, rx, tid, packet_seed, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
         rx.process_slot_with(wave, rxs).packet == Some(pkt)
     }
@@ -223,7 +190,7 @@ impl WaveSim {
     /// how many packets a trial sends.
     pub fn uplink_snr(&self, rx: &UplinkReceiver, tid: u8, s: &mut PhyScratch) -> f64 {
         let seed0 = trial_seed(self.uplink_base_seed(tid, rx.config().ul_bps), 0);
-        self.synth_uplink_packet(rx, tid, seed0, s);
+        self.synth_uplink_packet(&self.channel, rx, tid, seed0, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
         rx.uplink_snr_db_with(wave, rxs)
     }
@@ -250,38 +217,19 @@ impl WaveSim {
         recorder: &mut Recorder,
     ) -> UplinkResult {
         let rx = self.uplink_rx(ul_bps);
-        let base = self.uplink_base_seed(tid, ul_bps);
-        with_phy_scratch(|s| {
-            let mut snr_db = f64::NAN;
-            let mut lost = 0;
-            for i in 0..n.max(1) {
-                let pkt = self.synth_uplink_packet(&rx, tid, trial_seed(base, i), s);
-                let PhyScratch { wave, rx: rxs, .. } = s;
-                if i == 0 {
-                    snr_db = rx.uplink_snr_db_with(wave, rxs);
-                }
-                if i < n {
-                    let out = rx.process_slot_with(wave, rxs);
-                    if out.packet == Some(pkt) {
-                        recorder.note(EventKind::Decoded);
-                    } else {
-                        lost += 1;
-                        // A decode to the *wrong* packet passed CRC on a
-                        // corrupted waveform — report it as a CRC-level
-                        // failure rather than inventing a new taxon.
-                        let reason = out
-                            .fail
-                            .unwrap_or(DecodeFailReason::BadCrc);
-                        recorder.record(i, tid, EventKind::DecodeFail { reason });
-                    }
-                }
-            }
-            UplinkResult {
-                sent: n,
-                lost,
-                snr_db,
-            }
-        })
+        let link = SingleLink {
+            sim: self,
+            channel: &self.channel,
+            rx: &rx,
+            tid,
+            base: self.uplink_base_seed(tid, ul_bps),
+        };
+        let Ok(t) = with_phy_scratch(|s| run_uplink(&link, 0, n, recorder, s));
+        UplinkResult {
+            sent: n,
+            lost: t.lost,
+            snr_db: t.snr_db,
+        }
     }
 
     /// Drifting-channel uplink trial: sends `n_per_epoch` packets from
@@ -307,45 +255,31 @@ impl WaveSim {
         let rx = self.uplink_rx(ul_bps);
         let base = self.uplink_base_seed(tid, ul_bps);
         with_phy_scratch(|s| {
-            let mut out = Vec::with_capacity(tvc.epoch_count());
-            for epoch in 0..tvc.epoch_count() {
-                let channel = tvc.channel_at(epoch);
-                let first = epoch as u64 * n_per_epoch;
-                recorder.record(
-                    first,
-                    NO_TAG,
-                    EventKind::ChannelEpoch {
-                        epoch: epoch.min(u16::MAX as usize) as u16,
-                    },
-                );
-                let mut snr_db = f64::NAN;
-                let mut lost = 0;
-                for i in 0..n_per_epoch.max(1) {
-                    let global = first + i;
-                    let pkt =
-                        self.synth_uplink_packet_via(channel, &rx, tid, trial_seed(base, global), s);
-                    let PhyScratch { wave, rx: rxs, .. } = s;
-                    if i == 0 {
-                        snr_db = rx.uplink_snr_db_with(wave, rxs);
+            (0..tvc.epoch_count())
+                .map(|epoch| {
+                    let first = epoch as u64 * n_per_epoch;
+                    recorder.record(
+                        first,
+                        NO_TAG,
+                        EventKind::ChannelEpoch {
+                            epoch: epoch.min(u16::MAX as usize) as u16,
+                        },
+                    );
+                    let link = SingleLink {
+                        sim: self,
+                        channel: tvc.channel_at(epoch),
+                        rx: &rx,
+                        tid,
+                        base,
+                    };
+                    let Ok(t) = run_uplink(&link, first, n_per_epoch, recorder, s);
+                    UplinkResult {
+                        sent: n_per_epoch,
+                        lost: t.lost,
+                        snr_db: t.snr_db,
                     }
-                    if i < n_per_epoch {
-                        let res = rx.process_slot_with(wave, rxs);
-                        if res.packet == Some(pkt) {
-                            recorder.note(EventKind::Decoded);
-                        } else {
-                            lost += 1;
-                            let reason = res.fail.unwrap_or(DecodeFailReason::BadCrc);
-                            recorder.record(global, tid, EventKind::DecodeFail { reason });
-                        }
-                    }
-                }
-                out.push(UplinkResult {
-                    sent: n_per_epoch,
-                    lost,
-                    snr_db,
-                });
-            }
-            out
+                })
+                .collect()
         })
     }
 
@@ -537,6 +471,170 @@ impl WaveSim {
     }
 }
 
+/// Expands raw FM0 bits into a padded per-sample PZT state stream.
+fn expand_states_into(raw: &BitBuf, spb: usize, pad: usize, out: &mut Vec<PztState>) {
+    out.clear();
+    out.reserve(raw.len() * spb + 2 * pad);
+    out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
+    for bit in raw.iter() {
+        let s = if bit {
+            PztState::Reflective
+        } else {
+            PztState::Absorptive
+        };
+        out.extend(std::iter::repeat_n(s, spb));
+    }
+    out.extend(std::iter::repeat_n(PztState::Absorptive, pad));
+}
+
+/// Expands one seeded uplink packet into the PZT state stream `out` and
+/// returns the packet — the recipe every waveform simulator shares. The
+/// payload and the supply sag are drawn from `packet_seed`; `clock` is
+/// the sending tag's timer. Fails when `pkt_tid` overflows the packet's
+/// 4-bit TID field.
+pub(crate) fn synth_packet_states(
+    mut clock: McuClock,
+    pkt_tid: u8,
+    fs: f64,
+    ul_bps: f64,
+    packet_seed: u64,
+    out: &mut Vec<PztState>,
+) -> Result<UlPacket, PacketError> {
+    let mut rng = TagRng::new(packet_seed);
+    let payload = (rng.next_u64() & 0xFFF) as u16;
+    let pkt = UlPacket::new(pkt_tid, payload)?;
+    let raw = Fm0Encoder::new().encode(pkt.to_bits().iter());
+    // The tag's timer stretches/compresses raw bits; the supply sags
+    // across the cutoff band packet to packet.
+    clock.set_supply(1.95 + 0.35 * rng.unit_f64());
+    let spb = (fs * (1.0 / ul_bps) * (12_000.0 / clock.actual_hz())).round() as usize;
+    expand_states_into(&raw, spb, 6 * spb, out);
+    Ok(pkt)
+}
+
+/// One observed reader's uplink as [`run_uplink`] drives it: how packet
+/// `i` of a (tag, rate) sequence reaches the reader's DAQ, and how the
+/// reader decodes it and measures its SNR.
+pub(crate) trait UplinkLink {
+    /// Per-thread working storage: state streams, waveform, receiver DSP.
+    type Scratch;
+    /// Why a packet could not be synthesized.
+    type Error;
+    /// The tag under test.
+    fn tid(&self) -> u8;
+    /// Readers other than the observed one transmitting concurrently.
+    fn foreign_readers(&self) -> usize {
+        0
+    }
+    /// Synthesizes packet `i` (global index) into the scratch waveform
+    /// and returns the packet the observed reader's tag sent.
+    fn synth(&self, i: u64, s: &mut Self::Scratch) -> Result<UlPacket, Self::Error>;
+    /// Decodes the scratch waveform.
+    fn decode(&self, s: &mut Self::Scratch) -> SlotRx;
+    /// PSD-band SNR (dB) of the scratch waveform.
+    fn snr_db(&self, s: &mut Self::Scratch) -> f64;
+}
+
+/// What one [`run_uplink`] call counted.
+pub(crate) struct UplinkTally {
+    /// Packets not decoded (or decoded wrong).
+    pub lost: u64,
+    /// Packets where cross-reader interference was implicated.
+    pub cross_collisions: u64,
+    /// SNR (dB) of the first packet.
+    pub snr_db: f64,
+}
+
+/// The uplink-trial kernel behind every waveform-level trial: sends
+/// packets `first..first + n` over `link`, with SNR measured on packet
+/// `first` (synthesized even when `n` is 0). A decode counts as
+/// [`EventKind::Decoded`]; a loss lands as [`EventKind::DecodeFail`]
+/// carrying the receiver's stage-of-failure reason, stamped with the
+/// global packet index as the slot. When foreign readers are active, a
+/// loss or an IQ-flagged collision also counts as a cross-reader
+/// collision ([`EventKind::CrossReaderCollision`]). Stops at the first
+/// packet that cannot be synthesized.
+pub(crate) fn run_uplink<L: UplinkLink>(
+    link: &L,
+    first: u64,
+    n: u64,
+    recorder: &mut Recorder,
+    s: &mut L::Scratch,
+) -> Result<UplinkTally, L::Error> {
+    let tid = link.tid();
+    let foreign = link.foreign_readers();
+    let mut tally = UplinkTally {
+        lost: 0,
+        cross_collisions: 0,
+        snr_db: f64::NAN,
+    };
+    for i in 0..n.max(1) {
+        let slot = first + i;
+        let pkt = link.synth(slot, s)?;
+        if i == 0 {
+            tally.snr_db = link.snr_db(s);
+        }
+        if i == n {
+            break; // n = 0: the SNR packet is not sent
+        }
+        let out = link.decode(s);
+        let ok = out.packet == Some(pkt);
+        if ok {
+            recorder.note(EventKind::Decoded);
+        } else {
+            tally.lost += 1;
+            // A decode to the *wrong* packet passed CRC on a corrupted
+            // waveform — report it as a CRC-level failure rather than
+            // inventing a new taxon.
+            let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
+            recorder.record(slot, tid, EventKind::DecodeFail { reason });
+        }
+        if foreign > 0 && (!ok || out.collision) {
+            tally.cross_collisions += 1;
+            recorder.record(
+                slot,
+                tid,
+                EventKind::CrossReaderCollision {
+                    readers: foreign.min(u8::MAX as usize) as u8,
+                },
+            );
+        }
+    }
+    Ok(tally)
+}
+
+/// A lone reader's link: one tag through `channel` to `rx`.
+struct SingleLink<'a> {
+    sim: &'a WaveSim,
+    channel: &'a BiwChannel,
+    rx: &'a UplinkReceiver,
+    tid: u8,
+    /// Packet `i` runs at `trial_seed(base, i)`.
+    base: u64,
+}
+
+impl UplinkLink for SingleLink<'_> {
+    type Scratch = PhyScratch;
+    type Error = Infallible;
+
+    fn tid(&self) -> u8 {
+        self.tid
+    }
+
+    fn synth(&self, i: u64, s: &mut PhyScratch) -> Result<UlPacket, Infallible> {
+        let seed = trial_seed(self.base, i);
+        Ok(self.sim.synth_uplink_packet(self.channel, self.rx, self.tid, seed, s))
+    }
+
+    fn decode(&self, s: &mut PhyScratch) -> SlotRx {
+        self.rx.process_slot_with(&s.wave, &mut s.rx)
+    }
+
+    fn snr_db(&self, s: &mut PhyScratch) -> f64 {
+        self.rx.uplink_snr_db_with(&s.wave, &mut s.rx)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,19 +791,43 @@ mod tests {
         assert!(distinct >= 5, "offsets suspiciously uniform: {offsets:?}");
     }
 
+    /// A recorder's events minus the drift path's epoch markers.
+    fn packet_events(rec: &Recorder) -> Vec<arachnet_obs::Event> {
+        rec.events()
+            .into_iter()
+            .filter(|e| !matches!(e.kind, EventKind::ChannelEpoch { .. }))
+            .collect()
+    }
+
     #[test]
     fn identity_drift_reproduces_the_static_trial() {
+        // Packet seeds and recorder slots follow the global packet index,
+        // so two identity epochs of 10 packets are the 20-packet static
+        // trial: same losses, same SNR, same fail events at the same slots.
         use biw_channel::timevarying::ChannelDrift;
         let sim = WaveSim::paper(14);
         let tvc = TimeVaryingChannel::paper(
             sim.channel().config().clone(),
-            &[ChannelDrift::identity()],
+            &[ChannelDrift::identity(), ChannelDrift::identity()],
         );
-        let r = sim.uplink_trial_drifting(&tvc, 8, 1_500.0, 20, &mut Recorder::disabled());
-        let bare = sim.uplink_trial(8, 1_500.0, 20);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].lost, bare.lost);
+        let mut drift_rec = Recorder::enabled(14);
+        let r = sim.uplink_trial_drifting(&tvc, 11, 1_500.0, 10, &mut drift_rec);
+        let mut static_rec = Recorder::enabled(14);
+        let bare = sim.uplink_trial_observed(11, 1_500.0, 20, &mut static_rec);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r[0].lost + r[1].lost, bare.lost);
         assert_eq!(r[0].snr_db, bare.snr_db);
+        let events = packet_events(&drift_rec);
+        assert_eq!(events, static_rec.events());
+        assert!(
+            events.iter().any(|e| e.slot >= 10),
+            "no loss in the second epoch: the slot comparison proves nothing"
+        );
+        let decoded = EventKind::Decoded.index();
+        assert_eq!(
+            drift_rec.into_snapshot().count_at(decoded),
+            static_rec.into_snapshot().count_at(decoded)
+        );
     }
 
     #[test]

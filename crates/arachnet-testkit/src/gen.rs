@@ -47,7 +47,7 @@ impl<T: 'static> Gen<T> {
     /// Maps generated values through `f`. The mapped generator does not
     /// shrink (shrinking happens in the source domain only when the mapping
     /// is avoided), so prefer building composite values with [`zip`] /
-    /// [`vec`] when shrinking matters.
+    /// [`vec()`] when shrinking matters.
     pub fn map<U: 'static>(self, f: impl Fn(T) -> U + 'static) -> Gen<U> {
         let g = self.generate;
         Gen::new(move |rng| f(g(rng)))

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: build, lint, full test suite, a quick pass over every
-# registered experiment, the parallel-sweep determinism check
+# Repo verification: build, lint, rustdoc, full test suite, a quick pass
+# over every registered experiment, the parallel-sweep determinism check
 # (byte-identical `repro` output and METRICS exports at 1 vs 8 worker
 # threads, gated by `repro diff --tolerance 0`), the run-telemetry smoke
 # (journal heartbeats parse, chrome trace loads), the serve smoke
@@ -34,6 +34,9 @@ cargo build --release --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (workspace lints deny warnings, so a broken doc link fails) =="
+cargo doc --workspace --no-deps
 
 echo "== tests (workspace) =="
 cargo test -q --workspace

@@ -59,8 +59,22 @@ struct KmeansRun {
     spread: f64,
 }
 
-fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
+/// Per-sample buffers [`kmeans`] reuses across the k's of one
+/// [`cluster_iq`] call.
+#[derive(Default)]
+struct KmeansScratch {
+    /// Cluster index of each sample.
+    assign: Vec<usize>,
+    /// Squared distance of each sample to its nearest seed so far.
+    nearest: Vec<f64>,
+}
+
+fn kmeans(samples: &[Cplx], k: usize, iterations: usize, scratch: &mut KmeansScratch) -> KmeansRun {
     // Farthest-point seeding from the global mean — fully deterministic.
+    // `nearest` keeps each sample's min distance to the seeds so far, in
+    // seed order (the same `f64::MAX`-started `f64::min` fold as
+    // recomputing it per comparison); `max_by` picks the last of equal
+    // maxima.
     let n = samples.len();
     let mean = samples.iter().fold(Cplx::ZERO, |a, &z| a + z) / n as f64;
     let mut centers: Vec<Cplx> = Vec::with_capacity(k);
@@ -74,29 +88,29 @@ fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
         .copied()
         .unwrap_or(mean);
     centers.push(first);
+    let nearest = &mut scratch.nearest;
+    nearest.clear();
+    nearest.resize(n, f64::MAX);
     while centers.len() < k {
-        let far = samples
-            .iter()
-            .max_by(|a, b| {
-                let da = centers
-                    .iter()
-                    .map(|&c| (**a - c).norm_sq())
-                    .fold(f64::MAX, f64::min);
-                let db = centers
-                    .iter()
-                    .map(|&c| (**b - c).norm_sq())
-                    .fold(f64::MAX, f64::min);
-                da.total_cmp(&db)
-            })
-            .copied()
-            .unwrap_or(mean);
+        let newest = centers[centers.len() - 1];
+        for (d, &z) in nearest.iter_mut().zip(samples) {
+            *d = d.min((z - newest).norm_sq());
+        }
+        let far = (0..n)
+            .max_by(|&a, &b| nearest[a].total_cmp(&nearest[b]))
+            .map_or(mean, |i| samples[i]);
         centers.push(far);
     }
 
-    let mut assign = vec![0usize; n];
+    let assign = &mut scratch.assign;
+    assign.clear();
+    assign.resize(n, 0);
+    let mut sums = vec![Cplx::ZERO; k];
+    let mut counts = vec![0usize; k];
+    let mut before = centers.clone();
     for _ in 0..iterations {
         // Assignment.
-        for (i, &z) in samples.iter().enumerate() {
+        for (a, &z) in assign.iter_mut().zip(samples) {
             let mut best = 0;
             let mut bd = f64::MAX;
             for (c, &ctr) in centers.iter().enumerate() {
@@ -106,14 +120,14 @@ fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
                     best = c;
                 }
             }
-            assign[i] = best;
+            *a = best;
         }
         // Update.
-        let mut sums = vec![Cplx::ZERO; k];
-        let mut counts = vec![0usize; k];
-        for (i, &z) in samples.iter().enumerate() {
-            sums[assign[i]] += z;
-            counts[assign[i]] += 1;
+        sums.fill(Cplx::ZERO);
+        counts.fill(0);
+        for (&a, &z) in assign.iter().zip(samples) {
+            sums[a] += z;
+            counts[a] += 1;
         }
         for c in 0..k {
             if counts[c] > 0 {
@@ -143,14 +157,25 @@ fn kmeans(samples: &[Cplx], k: usize, iterations: usize) -> KmeansRun {
                 }
             }
         }
+        // Fixed point: centres bit-identical to this iteration's inputs
+        // make every later iteration repeat this one exactly (same
+        // assignment, same update, same re-seed), so stop. Bits, not `==`:
+        // NaN never equals itself and -0.0 == 0.0.
+        let same_bits = |a: &Cplx, b: &Cplx| {
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+        };
+        if centers.iter().zip(&before).all(|(a, b)| same_bits(a, b)) {
+            break;
+        }
+        before.copy_from_slice(&centers);
     }
 
     // Final statistics.
     let mut pops = vec![0usize; k];
     let mut sse = vec![0.0f64; k];
-    for (i, &z) in samples.iter().enumerate() {
-        pops[assign[i]] += 1;
-        sse[assign[i]] += (z - centers[assign[i]]).norm_sq();
+    for (&a, &z) in assign.iter().zip(samples) {
+        pops[a] += 1;
+        sse[a] += (z - centers[a]).norm_sq();
     }
     let mut spread_acc = 0.0;
     let mut live = 0;
@@ -191,8 +216,9 @@ pub fn cluster_iq(samples: &[Cplx], cfg: ClusterConfig) -> Vec<Cluster> {
 
     // Try k from max down; accept the first k whose clusters are all
     // populated and whose centroids are mutually well-separated.
+    let mut scratch = KmeansScratch::default();
     for k in (2..=cfg.max_k.min(n)).rev() {
-        let run = kmeans(samples, k, cfg.iterations);
+        let run = kmeans(samples, k, cfg.iterations, &mut scratch);
         if run.pops.iter().any(|&p| p < min_pop) {
             continue;
         }

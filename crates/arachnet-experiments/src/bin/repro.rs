@@ -628,13 +628,31 @@ fn run_serve(opts: ServeOpts) {
     flush_warnings();
 }
 
+/// Per-request deadline of a [`chaos_pass`] server.
+const CHAOS_DEADLINE_MS: u64 = 300;
+
+/// Length of the injected queue stall on request 4. The `deadlines`
+/// counter must depend on the seed alone, so no two timers may fire close
+/// together: when a worker wakes just as a handler gives up, whichever
+/// fires first decides whether that request counts once or twice.
+/// A handler answers `deadline_exceeded` itself at deadline + 50 ms
+/// grace (350 ms after admission), and the worker counts a request again
+/// when it pops it after its deadline. Waking at 500 ms, the worker
+/// finds request 4 expired, 150 ms after its handler gave up (count 2).
+/// Request 5, sent the moment that handler answered, is 150 ms into its
+/// 300 ms deadline and has 200 ms left, minus its decode, before its own
+/// handler gives up, so it is served.
+const CHAOS_STALL_MS: u64 = 500;
+
 /// The seeded fault plan `repro chaos` self-tests with: one of every
 /// injectable fault at an explicit index, plus a rate-based decode-delay
-/// stream so the deterministic-schedule comparison is non-trivial.
+/// stream so the deterministic-schedule comparison is non-trivial. The
+/// largest decode delay a request can draw (120 + 30 ms, plus the decode)
+/// stays 200 ms clear of its handler's 350 ms give-up.
 fn chaos_plan(seed: u64) -> arachnet_serve::FaultPlan {
     arachnet_serve::FaultPlan::new(seed)
         .panic_at(2)
-        .stall_at(4, 400)
+        .stall_at(4, CHAOS_STALL_MS)
         .torn_at(6)
         .decode_delay_at(8, 120)
         .slow_read_conn(1, 40)
@@ -662,7 +680,7 @@ fn chaos_pass(seed: u64, label: &str) -> (String, Vec<(&'static str, u64)>) {
         port: 0,
         workers: 1,
         queue_depth: 8,
-        request_deadline: Some(Duration::from_millis(150)),
+        request_deadline: Some(Duration::from_millis(CHAOS_DEADLINE_MS)),
         respawn_budget: 2,
         brownout_enter_us: 0, // brownout has its own behavioral pass
         fault_plan: Some(plan),

@@ -20,7 +20,7 @@ use arachnet_dsp::cplx::Cplx;
 use arachnet_dsp::nco::CarrierTable;
 use biw_channel::fleet::{MAX_BAND_HZ, MIN_BAND_HZ};
 
-use crate::rx::{RxConfig, RxScratch, SlotRx, UplinkReceiver};
+use crate::rx::{RxConfig, RxScratch, SlotDecode, SlotRx, UplinkReceiver};
 
 /// Minimum sub-band separation (Hz) a valid FDMA plan must keep: wide
 /// enough that the decimation filter puts a foreign carrier well outside
@@ -350,29 +350,48 @@ impl FleetReceiver {
         }
     }
 
-    /// Processes one slot: interference rejection (when enabled and there
-    /// is anything to reject), then the single-reader chain. Bit-identical
-    /// across scratch reuse, like the chain it wraps.
-    pub fn process_slot_with(&self, wave: &[f64], scratch: &mut FleetRxScratch) -> SlotRx {
+    /// The slot the single-reader chain sees: `wave` itself when
+    /// rejection is off or there is nothing to reject, otherwise its copy
+    /// in `cleaned` with every foreign carrier subtracted.
+    fn rejected<'a>(
+        &self,
+        wave: &'a [f64],
+        cleaned: &'a mut Vec<f64>,
+        corr: &mut Vec<f64>,
+    ) -> &'a [f64] {
         if !self.reject || self.interferers.is_empty() {
-            return self.rx.process_slot_with(wave, &mut scratch.rx);
+            return wave;
         }
-        scratch.cleaned.clear();
-        scratch.cleaned.extend_from_slice(wave);
-        self.reject_into(&mut scratch.cleaned, &mut scratch.corr);
-        self.rx.process_slot_with(&scratch.cleaned, &mut scratch.rx)
+        cleaned.clear();
+        cleaned.extend_from_slice(wave);
+        self.reject_into(cleaned, corr);
+        cleaned
+    }
+
+    /// Processes one slot: interference rejection (when enabled and there
+    /// is anything to reject), then the single-reader chain with its
+    /// collision verdict. Bit-identical across scratch reuse, like the
+    /// chain it wraps.
+    pub fn process_slot_with(&self, wave: &[f64], scratch: &mut FleetRxScratch) -> SlotRx {
+        let FleetRxScratch { cleaned, corr, rx } = scratch;
+        self.rx
+            .process_slot_with(self.rejected(wave, cleaned, corr), rx)
+    }
+
+    /// [`Self::process_slot_with`] without the collision verdict (the
+    /// fleet analogue of [`UplinkReceiver::decode_slot_with`]).
+    pub fn decode_slot_with(&self, wave: &[f64], scratch: &mut FleetRxScratch) -> SlotDecode {
+        let FleetRxScratch { cleaned, corr, rx } = scratch;
+        self.rx
+            .decode_slot_with(self.rejected(wave, cleaned, corr), rx)
     }
 
     /// SNR of the slot after interference rejection (the fleet analogue of
     /// [`UplinkReceiver::uplink_snr_db_with`]).
     pub fn uplink_snr_db_with(&self, wave: &[f64], scratch: &mut FleetRxScratch) -> f64 {
-        if !self.reject || self.interferers.is_empty() {
-            return self.rx.uplink_snr_db_with(wave, &mut scratch.rx);
-        }
-        scratch.cleaned.clear();
-        scratch.cleaned.extend_from_slice(wave);
-        self.reject_into(&mut scratch.cleaned, &mut scratch.corr);
-        self.rx.uplink_snr_db_with(&scratch.cleaned, &mut scratch.rx)
+        let FleetRxScratch { cleaned, corr, rx } = scratch;
+        self.rx
+            .uplink_snr_db_with(self.rejected(wave, cleaned, corr), rx)
     }
 }
 

@@ -33,5 +33,5 @@ pub mod tx;
 
 pub use driver::ReaderDriver;
 pub use fleet::{FleetPlan, FleetPlanError, FleetReceiver, FleetRxScratch};
-pub use rx::{SlotRx, UplinkReceiver};
+pub use rx::{SlotDecode, SlotRx, UplinkReceiver};
 pub use tx::BeaconTransmitter;

@@ -16,6 +16,16 @@
 //! * collision detection (Sec. 5.3) clusters the decimated IQ samples: one
 //!   backscatterer makes ≤2 clusters, two make up to 4 — "if more than two
 //!   clusters are identified, we infer that a collision has occurred".
+//!
+//! Two entry points share the one chain.
+//! [`UplinkReceiver::decode_slot_with`] runs it up to the CRC-checked
+//! packet and stops. [`UplinkReceiver::process_slot_with`] adds the IQ
+//! clustering and its collision verdict, which from 375 bps up costs more
+//! than the rest of the chain together. Only callers that read the verdict
+//! pay for it: the slot-level co-simulation's reader MAC, and fleet trials
+//! with foreign readers, where an IQ-flagged collision counts as
+//! cross-reader interference. Single-reader packet-loss trials (Fig. 12,
+//! drift, serve decodes) read the packet alone.
 
 use arachnet_core::bits::BitBuf;
 use arachnet_core::fm0::{self, Fm0Encoder};
@@ -28,13 +38,16 @@ use arachnet_dsp::psd::{welch_psd, welch_psd_into, Psd, WelchScratch};
 use arachnet_dsp::schmitt::{Edge, Schmitt};
 use arachnet_dsp::window::Window;
 
-/// Reusable per-worker working set for the RX chain. Every buffer the
-/// mix → decimate → slice → decode pipeline needs lives here, so a warm
-/// receiver processes slots without allocating (`cluster_iq`'s interior
-/// work is bounded by its ~1500-point sub-sample, independent of waveform
-/// length). Scratch contents never influence results — only capacities
-/// persist between calls — so sharing one scratch per worker thread keeps
-/// sweep results bit-identical at any thread count.
+/// Reusable per-worker working set for the RX chain. The mix → decimate
+/// → slice → edge-run buffers live here, so a warm receiver reuses them
+/// from slot to slot. Still allocated per slot: the raw-bit stream and
+/// its inverted copy, plus a body slice per preamble match (short: a
+/// packet is 64 raw bits), and, on the collision-verdict path,
+/// `cluster_iq`'s per-call buffers (an assignment and a distance entry per
+/// sub-sampled point, ≤ ~1500 of them; a few k-sized vectors per k; the
+/// returned clusters). Scratch contents never influence results — only
+/// capacities persist between calls — so sharing one scratch per worker
+/// thread keeps sweep results bit-identical at any thread count.
 #[derive(Debug, Clone, Default)]
 pub struct RxScratch {
     iq: Vec<Cplx>,
@@ -46,6 +59,8 @@ pub struct RxScratch {
     settled: Vec<Cplx>,
     sub: Vec<Cplx>,
     edges: Vec<Edge>,
+    times: Vec<(usize, bool)>,
+    shorts: Vec<f64>,
     cleaned: Vec<f64>,
     corr: Vec<f64>,
     welch: WelchScratch,
@@ -95,6 +110,20 @@ pub struct SlotRx {
     /// `TooShort`). Whether that is a *failure* is the caller's call — the
     /// sim layer only records a `DecodeFail` event when it knows a tag
     /// actually transmitted.
+    pub fail: Option<DecodeFailReason>,
+}
+
+/// Result of decoding one slot without the collision verdict
+/// ([`UplinkReceiver::decode_slot_with`]): the fields of [`SlotRx`] that
+/// the decode chain alone determines.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SlotDecode {
+    /// CRC-valid decoded packet, if any.
+    pub packet: Option<UlPacket>,
+    /// Envelope edges detected (diagnostics).
+    pub edges: usize,
+    /// Why no packet was decoded (`None` when `packet` is `Some`); see
+    /// [`SlotRx::fail`].
     pub fail: Option<DecodeFailReason>,
 }
 
@@ -257,27 +286,58 @@ impl UplinkReceiver {
     }
 
     /// [`UplinkReceiver::process_slot`] over a caller-owned scratch: bit-
-    /// identical results, but a warm scratch makes the whole chain
-    /// allocation-free. Keep one scratch per worker thread.
+    /// identical results, reusing the scratch's buffers. Keep one scratch
+    /// per worker thread. This is [`UplinkReceiver::decode_slot_with`]
+    /// plus the IQ-clustering collision verdict on the same baseband.
     pub fn process_slot_with(&self, wave: &[f64], scratch: &mut RxScratch) -> SlotRx {
-        if wave.len() < 64 {
-            return SlotRx {
-                fail: Some(DecodeFailReason::TooShort),
-                ..SlotRx::empty()
-            };
+        let SlotDecode {
+            packet,
+            edges,
+            fail,
+        } = self.decode_slot_with(wave, scratch);
+        // A too-short slot leaves `iq` empty, which counts as one cluster.
+        let RxScratch {
+            iq,
+            steps,
+            steps_sorted,
+            settled,
+            sub,
+            ..
+        } = scratch;
+        let clusters = Self::count_clusters(iq, steps, steps_sorted, settled, sub);
+        SlotRx {
+            packet,
+            collision: clusters > 2,
+            clusters,
+            edges,
+            fail,
         }
+    }
+
+    /// Decodes one slot's waveform without the collision verdict: the
+    /// packet, edge count and fail reason are exactly those of
+    /// [`UplinkReceiver::process_slot_with`], at a fraction of the cost.
+    /// Leaves the slot's baseband IQ in the scratch (empty for a
+    /// too-short slot).
+    pub fn decode_slot_with(&self, wave: &[f64], scratch: &mut RxScratch) -> SlotDecode {
         let RxScratch {
             iq,
             tmp,
             proj,
             sorted,
-            steps,
-            steps_sorted,
-            settled,
-            sub,
             edges,
+            times,
+            shorts,
             ..
         } = scratch;
+        if wave.len() < 64 {
+            iq.clear();
+            return SlotDecode {
+                packet: None,
+                edges: 0,
+                fail: Some(DecodeFailReason::TooShort),
+            };
+        }
         self.to_baseband_into(wave, iq, tmp);
         let n = iq.len() as f64;
         let mean = iq.iter().fold(Cplx::ZERO, |a, &z| a + z) / n;
@@ -305,20 +365,16 @@ impl UplinkReceiver {
         let (lo, hi) = (p(0.05), p(0.95));
         let mid = 0.5 * (lo + hi);
         let range = hi - lo;
-        let clusters = Self::count_clusters(iq, steps, steps_sorted, settled, sub);
-        let collision = clusters > 2;
         let leak_scale = mean.abs().max(1e-12);
         if !range.is_finite() || range < self.cfg.min_contrast * leak_scale {
             // A non-finite range means NaN/Inf samples poisoned the
             // percentiles (degenerate channel config); there is no usable
             // modulation contrast either way, and building a Schmitt slicer
             // from non-finite thresholds would panic.
-            // No modulation: empty slot (but clustering may still have seen
-            // something odd; keep its verdict).
-            return SlotRx {
+            // No modulation: empty slot (the collision verdict, where it
+            // is asked for, still clusters the IQ).
+            return SlotDecode {
                 packet: None,
-                collision,
-                clusters,
                 edges: 0,
                 fail: Some(DecodeFailReason::NoModulation),
             };
@@ -328,14 +384,12 @@ impl UplinkReceiver {
         slicer.process_edges_into(proj, edges);
         // The PCA axis sign is arbitrary; the decoder's dual-polarity scan
         // absorbs it.
-        let (packet, fail) = match self.decode_edges_internal(edges) {
+        let (packet, fail) = match self.decode_edges_internal(edges, times, shorts) {
             Ok(pkt) => (Some(pkt), None),
             Err(reason) => (None, Some(reason)),
         };
-        SlotRx {
+        SlotDecode {
             packet,
-            collision,
-            clusters,
             edges: edges.len(),
             fail,
         }
@@ -391,25 +445,26 @@ impl UplinkReceiver {
 
     /// Edge-domain FM0 decode: runs → raw bits → preamble search → packet.
     /// `Err` carries the first stage that could not proceed.
-    pub(crate) fn decode_edges_internal(
+    /// `times` and `shorts` are caller-owned working buffers.
+    fn decode_edges_internal(
         &self,
         edges: &[Edge],
+        times: &mut Vec<(usize, bool)>,
+        shorts: &mut Vec<f64>,
     ) -> Result<UlPacket, DecodeFailReason> {
         if edges.len() < 8 {
             return Err(DecodeFailReason::TooFewEdges);
         }
         // Build (start, level) transitions; run k spans transition k→k+1.
-        let times: Vec<(usize, bool)> = edges
-            .iter()
-            .map(|e| match *e {
-                Edge::Rising(i) => (i, true),
-                Edge::Falling(i) => (i, false),
-            })
-            .collect();
+        times.clear();
+        times.extend(edges.iter().map(|e| match *e {
+            Edge::Rising(i) => (i, true),
+            Edge::Falling(i) => (i, false),
+        }));
 
         // Estimate the raw-bit duration in decimated samples. Nominal:
         let t_nom = self.cfg.sample_rate / (self.cfg.ul_bps * self.decimation() as f64);
-        let mut shorts = Vec::new();
+        shorts.clear();
         for w in times.windows(2) {
             let run = (w[1].0 - w[0].0) as f64;
             if run > 0.6 * t_nom && run < 1.4 * t_nom {
@@ -655,6 +710,48 @@ mod tests {
         let out = rx.process_slot_with(&wave, &mut scratch);
         // No particular decode outcome is required — only survival.
         assert!(out.edges < wave.len(), "edge count stayed bounded");
+    }
+
+    #[test]
+    fn verdict_free_decode_agrees_on_degenerate_slots() {
+        // Idle, too-short and NaN/Inf slots take the early exits of the
+        // chain; `decode_slot_with` must leave them exactly as
+        // `process_slot_with` reports them, through one shared scratch.
+        let rx = UplinkReceiver::new(RxConfig::default());
+        let pkt = UlPacket::new(8, 0xABC).unwrap();
+        let mut poisoned = tag_waveform(&channel(NoiseConfig::silent()), 8, &pkt, 375.0);
+        for i in (0..poisoned.len()).step_by(97) {
+            poisoned[i] = f64::NAN;
+        }
+        let mid = poisoned.len() / 2;
+        poisoned[mid] = f64::INFINITY;
+        let waves = [
+            channel(NoiseConfig::silent()).uplink_waveform(&[], 50_000),
+            channel(NoiseConfig::default()).uplink_waveform(&[], 50_000),
+            vec![0.0; 10],
+            vec![0.5; 63],
+            vec![f64::NAN; 5_000],
+            vec![f64::INFINITY; 5_000],
+            poisoned,
+        ];
+        let mut scratch = RxScratch::default();
+        for (k, wave) in waves.iter().enumerate() {
+            let full = rx.process_slot_with(wave, &mut scratch);
+            let lean = rx.decode_slot_with(wave, &mut scratch);
+            assert_eq!(
+                (&lean.packet, lean.fail, lean.edges),
+                (&full.packet, full.fail, full.edges),
+                "waveform {k}"
+            );
+        }
+        let short = rx.process_slot_with(&[0.0; 10], &mut scratch);
+        assert_eq!(
+            short,
+            SlotRx {
+                fail: Some(DecodeFailReason::TooShort),
+                ..SlotRx::empty()
+            }
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use arachnet_core::packet::UlPacket;
 use arachnet_obs::{Event, EventKind, Recorder, RecorderSnapshot};
 use arachnet_reader::fleet::{FleetPlan, FleetReceiver, FleetRxScratch};
-use arachnet_reader::rx::SlotRx;
+use arachnet_reader::rx::SlotDecode;
 use arachnet_tag::mcu::McuClock;
 use biw_channel::channel::ChannelConfig;
 use biw_channel::fleet::{FleetChannel, FleetChannelConfig};
@@ -260,8 +260,19 @@ impl UplinkLink for FleetLink<'_> {
         Ok(own_pkt)
     }
 
-    fn decode(&self, s: &mut FleetPhyScratch) -> SlotRx {
-        self.rx.process_slot_with(&s.wave, &mut s.rx)
+    /// Clusters the IQ for the collision verdict only when foreign
+    /// readers are active; a one-reader fleet decodes like a lone reader.
+    fn decode(&self, s: &mut FleetPhyScratch) -> (SlotDecode, bool) {
+        if self.foreign_readers() == 0 {
+            return (self.rx.decode_slot_with(&s.wave, &mut s.rx), false);
+        }
+        let out = self.rx.process_slot_with(&s.wave, &mut s.rx);
+        let decode = SlotDecode {
+            packet: out.packet,
+            edges: out.edges,
+            fail: out.fail,
+        };
+        (decode, out.collision)
     }
 
     fn snr_db(&self, s: &mut FleetPhyScratch) -> f64 {
@@ -429,6 +440,65 @@ mod tests {
             fleet_rec.into_snapshot().count_at(decoded),
             single_rec.into_snapshot().count_at(decoded)
         );
+    }
+
+    /// `lost=N` plus every recorded event as `slot:tag:reason`.
+    fn loss_summary(lost: u64, rec: &Recorder) -> String {
+        let events: Vec<String> = rec
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::DecodeFail { reason } => format!("{}:{}:{reason:?}", e.slot, e.tag),
+                other => format!("{}:{}:{other:?}", e.slot, e.tag),
+            })
+            .collect();
+        format!("lost={lost} {}", events.join(" "))
+    }
+
+    #[test]
+    fn lone_reader_losses_and_events_are_pinned() {
+        // Recorded while every lone-reader decode still clustered the IQ
+        // for a collision verdict nobody read: dropping that step must not
+        // move a loss count or a recorded event, through the single-reader
+        // simulator or a one-reader fleet.
+        let cases = [
+            (11u8, 1_500.0, 42u64, 0.013, "lost=1 10:11:BadCrc"),
+            (
+                11,
+                3_000.0,
+                6,
+                0.02,
+                "lost=17 0:11:BadCrc 1:11:BadCrc 2:11:BadCrc 3:11:BadCrc 5:11:BadCrc \
+                 6:11:NoPreamble 9:11:NoPreamble 10:11:BadCrc 11:11:NoPreamble 12:11:BadCrc \
+                 13:11:NoPreamble 14:11:NoPreamble 15:11:BadCrc 16:11:NoPreamble \
+                 17:11:BadCrc 18:11:BadCrc 19:11:BadCrc",
+            ),
+        ];
+        for (tid, bps, seed, sigma, want) in cases {
+            let noise = NoiseConfig {
+                floor_sigma: sigma,
+                ..NoiseConfig::default()
+            };
+            let mut rec = Recorder::enabled(seed);
+            let r = WaveSim::new(seed, noise).uplink_trial_observed(tid, bps, 20, &mut rec);
+            assert_eq!(
+                loss_summary(r.lost, &rec),
+                want,
+                "single reader, seed {seed}"
+            );
+            let fleet = FleetWaveSim::new(FleetPlan::fdma(1, FS).unwrap(), seed, noise);
+            let rx = fleet.fleet_rx(0, bps);
+            let mut rec = Recorder::enabled(seed);
+            let r = fleet
+                .uplink_trial_observed(&rx, 0, tid, 20, &mut rec)
+                .unwrap();
+            assert_eq!(r.cross_collisions, 0);
+            assert_eq!(
+                loss_summary(r.lost, &rec),
+                want,
+                "one-reader fleet, seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use arachnet_core::packet::{DlBeacon, DlCmd, PacketError, UlPacket};
 use arachnet_core::rng::TagRng;
 use arachnet_obs::{DecodeFailReason, EventKind, Recorder, NO_TAG};
 use arachnet_reader::driver::{LatencyModel, PingPong};
-use arachnet_reader::rx::{RxConfig, RxScratch, SlotRx, UplinkReceiver};
+use arachnet_reader::rx::{RxConfig, RxScratch, SlotDecode, UplinkReceiver};
 use arachnet_reader::tx::BeaconTransmitter;
 use arachnet_tag::demod::PieDemodulator;
 use arachnet_tag::mcu::McuClock;
@@ -36,8 +36,10 @@ use biw_channel::timevarying::TimeVaryingChannel;
 use crate::sweep::trial_seed;
 
 /// Reusable PHY working storage: the PZT state stream, the synthesized
-/// waveform and the receiver's DSP scratch. One per worker thread makes a
-/// full uplink trial allocation-free once warm. Scratch *contents* never
+/// waveform and the receiver's DSP scratch. One per worker thread lets a
+/// full uplink trial reuse every sample-sized buffer once warm (what a
+/// decode still allocates per packet is listed on [`RxScratch`]; the
+/// packet encoder adds a few bytes more). Scratch *contents* never
 /// influence results — only capacities persist between calls — so reusing
 /// (or not reusing) a scratch cannot change any decode outcome.
 #[derive(Debug, Default)]
@@ -182,7 +184,7 @@ impl WaveSim {
     ) -> bool {
         let pkt = self.synth_uplink_packet(&self.channel, rx, tid, packet_seed, s);
         let PhyScratch { wave, rx: rxs, .. } = s;
-        rx.process_slot_with(wave, rxs).packet == Some(pkt)
+        rx.decode_slot_with(wave, rxs).packet == Some(pkt)
     }
 
     /// PSD-band SNR of the representative (index-0) packet waveform for
@@ -529,8 +531,11 @@ pub(crate) trait UplinkLink {
     /// Synthesizes packet `i` (global index) into the scratch waveform
     /// and returns the packet the observed reader's tag sent.
     fn synth(&self, i: u64, s: &mut Self::Scratch) -> Result<UlPacket, Self::Error>;
-    /// Decodes the scratch waveform.
-    fn decode(&self, s: &mut Self::Scratch) -> SlotRx;
+    /// Decodes the scratch waveform. The flag is the reader's IQ-clustering
+    /// collision verdict, which [`run_uplink`] reads only when foreign
+    /// readers are active; a link without them skips the clustering and
+    /// returns `false`.
+    fn decode(&self, s: &mut Self::Scratch) -> (SlotDecode, bool);
     /// PSD-band SNR (dB) of the scratch waveform.
     fn snr_db(&self, s: &mut Self::Scratch) -> f64;
 }
@@ -577,7 +582,7 @@ pub(crate) fn run_uplink<L: UplinkLink>(
         if i == n {
             break; // n = 0: the SNR packet is not sent
         }
-        let out = link.decode(s);
+        let (out, collision) = link.decode(s);
         let ok = out.packet == Some(pkt);
         if ok {
             recorder.note(EventKind::Decoded);
@@ -589,7 +594,7 @@ pub(crate) fn run_uplink<L: UplinkLink>(
             let reason = out.fail.unwrap_or(DecodeFailReason::BadCrc);
             recorder.record(slot, tid, EventKind::DecodeFail { reason });
         }
-        if foreign > 0 && (!ok || out.collision) {
+        if foreign > 0 && (!ok || collision) {
             tally.cross_collisions += 1;
             recorder.record(
                 slot,
@@ -626,8 +631,8 @@ impl UplinkLink for SingleLink<'_> {
         Ok(self.sim.synth_uplink_packet(self.channel, self.rx, self.tid, seed, s))
     }
 
-    fn decode(&self, s: &mut PhyScratch) -> SlotRx {
-        self.rx.process_slot_with(&s.wave, &mut s.rx)
+    fn decode(&self, s: &mut PhyScratch) -> (SlotDecode, bool) {
+        (self.rx.decode_slot_with(&s.wave, &mut s.rx), false)
     }
 
     fn snr_db(&self, s: &mut PhyScratch) -> f64 {
@@ -659,6 +664,45 @@ mod tests {
         let snr_a = sim.uplink_snr(&rx, 8, &mut fresh);
         let snr_b = sim.uplink_snr(&rx, 8, &mut warm);
         assert_eq!(snr_a, snr_b);
+    }
+
+    #[test]
+    fn verdict_free_decode_agrees_with_full_slot_processing() {
+        // Lone-reader trials decode with `decode_slot_with`; it must report
+        // the packet, fail reason and edge count `process_slot_with` does,
+        // at every paper rate, for near, junction and far tags. The noise
+        // floor is raised so both decodes and failures occur.
+        let sim = WaveSim::new(
+            21,
+            NoiseConfig {
+                floor_sigma: 0.02,
+                ..NoiseConfig::default()
+            },
+        );
+        let mut s = PhyScratch::default();
+        let (mut decoded, mut failed) = (0, 0);
+        for bps in [93.75, 187.5, 375.0, 750.0, 1_500.0, 3_000.0] {
+            let rx = sim.uplink_rx(bps);
+            for tid in [8u8, 4, 11] {
+                let base = sim.uplink_base_seed(tid, bps);
+                for i in 0..3 {
+                    sim.synth_uplink_packet(&sim.channel, &rx, tid, trial_seed(base, i), &mut s);
+                    let full = rx.process_slot_with(&s.wave, &mut s.rx);
+                    let lean = rx.decode_slot_with(&s.wave, &mut s.rx);
+                    assert_eq!(
+                        (&lean.packet, lean.fail, lean.edges),
+                        (&full.packet, full.fail, full.edges),
+                        "tag {tid} at {bps} bps, packet {i}"
+                    );
+                    if full.packet.is_some() {
+                        decoded += 1;
+                    } else {
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(decoded > 0 && failed > 0, "{decoded} decoded, {failed} failed");
     }
 
     #[test]

@@ -264,23 +264,28 @@ echo "== chaos self-test: seeded fault injection + self-healing serve tier =="
 # rejected, the panicked worker respawned within budget, and two
 # identically-seeded passes produced identical fault schedules and
 # counters. The binary enforces the invariants; the grep is a belt.
+# Seed 11 runs five more times: its `deadlines` counter once flipped
+# between passes about one run in four (a stall that ended just as a
+# handler's deadline fired), so a timing race that comes back fails here.
 cdir="$(mktemp -d)"
-if ! (cd "$cdir" && "$OLDPWD/$repro" chaos --seed "$seed" > chaos.txt 2> chaos.err); then
-  echo "FAIL: repro chaos --seed $seed exited non-zero" >&2
-  tail -10 "$cdir/chaos.err" "$cdir/chaos.txt" >&2
-  exit 1
-fi
-if ! grep -q '^chaos: OK' "$cdir/chaos.txt"; then
-  echo "FAIL: repro chaos did not print its OK summary" >&2
-  cat "$cdir/chaos.txt" >&2
-  exit 1
-fi
-if ! grep -q 'respawned = 1' "$cdir/chaos.txt"; then
-  echo "FAIL: chaos self-test reported no worker respawn" >&2
-  cat "$cdir/chaos.txt" >&2
-  exit 1
-fi
-echo "   chaos: exit 0, worker respawned, seeded passes identical"
+for chaos_seed in "$seed" 11 11 11 11 11; do
+  if ! (cd "$cdir" && "$OLDPWD/$repro" chaos --seed "$chaos_seed" > chaos.txt 2> chaos.err); then
+    echo "FAIL: repro chaos --seed $chaos_seed exited non-zero" >&2
+    tail -10 "$cdir/chaos.err" "$cdir/chaos.txt" >&2
+    exit 1
+  fi
+  if ! grep -q '^chaos: OK' "$cdir/chaos.txt"; then
+    echo "FAIL: repro chaos --seed $chaos_seed did not print its OK summary" >&2
+    cat "$cdir/chaos.txt" >&2
+    exit 1
+  fi
+  if ! grep -q 'respawned = 1' "$cdir/chaos.txt"; then
+    echo "FAIL: chaos self-test (seed $chaos_seed) reported no worker respawn" >&2
+    cat "$cdir/chaos.txt" >&2
+    exit 1
+  fi
+done
+echo "   chaos: seed $seed once and seed 11 five times — exit 0, worker respawned, seeded passes identical"
 rm -rf "$cdir"
 
 if [ "${ARACHNET_SKIP_BENCH_GATE:-0}" = "1" ]; then
